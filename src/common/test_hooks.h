@@ -64,6 +64,11 @@ struct TestHooks {
   /// stresses grace-period correctness and the slab-recycling pool.
   static std::atomic<Hook> ebr_before_retire;
 
+  /// A PutBatch per-op run linked one entry but has not yet cleared its PPA
+  /// slot for the next — a chunk frozen here skipped the (versioned) slot,
+  /// so the run must see the freeze before it reuses the slot.
+  static std::atomic<Hook> put_run_after_link;
+
   static void Run(const std::atomic<Hook>& site) {
     if (Hook hook = site.load(std::memory_order_relaxed)) hook();
   }
@@ -75,7 +80,7 @@ struct TestHooks {
     const char* name;
     std::atomic<Hook>* site;
   };
-  static constexpr std::size_t kSiteCount = 8;
+  static constexpr std::size_t kSiteCount = 9;
   static const std::array<Site, kSiteCount>& AllSites() {
     static const std::array<Site, kSiteCount> sites = {{
         {"put_before_version_cas", &put_before_version_cas},
@@ -86,6 +91,7 @@ struct TestHooks {
         {"rebalance_before_index_update", &rebalance_before_index_update},
         {"rebalance_during_engage", &rebalance_during_engage},
         {"ebr_before_retire", &ebr_before_retire},
+        {"put_run_after_link", &put_run_after_link},
     }};
     return sites;
   }
@@ -158,6 +164,7 @@ inline std::atomic<TestHooks::Hook> TestHooks::rebalance_before_index_update{
 inline std::atomic<TestHooks::Hook> TestHooks::rebalance_during_engage{
     nullptr};
 inline std::atomic<TestHooks::Hook> TestHooks::ebr_before_retire{nullptr};
+inline std::atomic<TestHooks::Hook> TestHooks::put_run_after_link{nullptr};
 inline std::atomic<std::uint32_t> TestHooks::mutants{0};
 
 }  // namespace kiwi

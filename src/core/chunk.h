@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -296,9 +297,10 @@ class alignas(kCacheLineSize) ChunkT {
     return reclaim::SlabPool::RoundedSize(SlabBytes(capacity, arena_capacity));
   }
 
-  /// Harvest every list cell plus every *versioned* PPA entry, sorted by
-  /// (key asc, version desc, valPtr desc) and deduplicated; used by
-  /// rebalance's build stage and by tests.
+  /// Harvest every list cell plus every *versioned* PPA entry, appended to
+  /// `out` in (key asc, version desc, valPtr desc) order and deduplicated;
+  /// used by rebalance's build stage and by tests.  Linear in the list: only
+  /// the PPA entries are sorted, then merged into the list walk.
   void CollectItems(std::vector<Item>& out) const;
 
   /// Append versioned PPA entries with key in [from, to] and version <=
@@ -318,8 +320,17 @@ class alignas(kCacheLineSize) ChunkT {
   /// rebalance_object.h for the lifetime story).  Only Destroy calls this.
   ~ChunkT();
 
-  /// CollectPpaItems without a key filter (CollectItems wants everything).
-  void CollectAllPpaItems(std::vector<Item>& out, Version max_version) const;
+  /// Calls fn(item) for every versioned PPA entry with version <=
+  /// max_version, in slot order.
+  template <typename Fn>
+  void ForEachPpaItem(Version max_version, Fn&& fn) const;
+
+  /// CollectPpaItems without a key filter (byte keys have no finite
+  /// maximum; full-map scans use this).
+  void CollectAllPpaItems(std::vector<Item>& out, Version max_version) const {
+    ForEachPpaItem(max_version,
+                   [&out](const Item& item) { out.push_back(item); });
+  }
 
   /// Key/value views of a fully materialized cell, resolved through the
   /// arena for byte layouts.
@@ -413,7 +424,11 @@ ChunkT<Layout>::ChunkT(reclaim::SlabPool* pool, KeyView min_key_arg,
     // this copy IS the arena compaction rebalance gets for free.
     KIWI_ASSERT(min_key_arg.size() <= arena_capacity,
                 "chunk min_key exceeds the arena");
-    std::memcpy(a, min_key_arg.data(), min_key_arg.size());
+    // The sentinel's empty min key may be a null view; memcpy must not see
+    // a null source even for zero bytes.
+    if (!min_key_arg.empty()) {
+      std::memcpy(a, min_key_arg.data(), min_key_arg.size());
+    }
     arena_off = static_cast<std::uint32_t>(min_key_arg.size());
   }
   // Seed the sorted prefix: cell i holds batched[i-1] and points to v[i-1].
@@ -627,6 +642,24 @@ std::uint64_t ChunkT<Layout>::FreezePpa() {
 }
 
 template <typename Layout>
+template <typename Fn>
+void ChunkT<Layout>::ForEachPpaItem(Version max_version, Fn&& fn) const {
+  for (std::size_t t = 0; t < kMaxThreads; ++t) {
+    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
+    const Version ver = PpaVer(word);
+    if (ver == kPpaVerBottom || ver == kPpaVerFrozen || ver > max_version) {
+      continue;
+    }
+    const std::uint32_t idx = PpaIdx(word);
+    if (idx == kPpaNoIdx) continue;
+    const Cell& cell = k[idx];
+    const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
+    fn(Item{Layout::CellKeyView(a, cell.key), ver, val_ptr,
+            LoadValue(val_ptr)});
+  }
+}
+
+template <typename Layout>
 void ChunkT<Layout>::CollectPpaItems(std::vector<Item>& out, KeyView from,
                                      KeyView to, Version max_version) const {
   const Probe from_probe = Layout::MakeProbe(from);
@@ -651,29 +684,40 @@ void ChunkT<Layout>::CollectPpaItems(std::vector<Item>& out, KeyView from,
 }
 
 template <typename Layout>
-void ChunkT<Layout>::CollectAllPpaItems(std::vector<Item>& out,
-                                        Version max_version) const {
-  for (std::size_t t = 0; t < kMaxThreads; ++t) {
-    const std::uint64_t word = ppa[t].load(std::memory_order_seq_cst);
-    const Version ver = PpaVer(word);
-    if (ver == kPpaVerBottom || ver == kPpaVerFrozen || ver > max_version) {
-      continue;
-    }
-    const std::uint32_t idx = PpaIdx(word);
-    if (idx == kPpaNoIdx) continue;
-    const Cell& cell = k[idx];
-    const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
-    out.push_back(Item{Layout::CellKeyView(a, cell.key), ver, val_ptr,
-                       LoadValue(val_ptr)});
-  }
-}
-
-template <typename Layout>
 void ChunkT<Layout>::CollectItems(std::vector<Item>& out) const {
   const std::size_t base = out.size();
   // PPA before list (same reasoning as FindLatest): a put that links and
-  // clears between the passes must be caught by the list walk.
-  CollectAllPpaItems(out, kMaxReadVersion);
+  // clears between the passes must be caught by the list walk.  At most one
+  // entry per thread slot, so they fit a fixed buffer and sort cheaply.
+  std::array<Item, kMaxThreads> pending{};
+  std::size_t num_pending = 0;
+  ForEachPpaItem(kMaxReadVersion, [&](const Item& item) {
+    pending[num_pending++] = item;
+  });
+  std::sort(pending.begin(), pending.begin() + num_pending, ItemBefore);
+
+  // The list is already in ItemBefore order and holds at most one cell per
+  // {key, version} (a put that finds its {key, version} linked redirects
+  // that cell's valPtr instead of linking its own), so merging the sorted
+  // PPA entries into the walk yields the sorted harvest.  Duplicates
+  // can only pair a PPA entry with its neighbour: a completed put seen in
+  // both the list and a not-yet-cleared slot, or a {key, version} race
+  // whose smaller valPtr lost.  ItemBefore puts the winner first; skip the
+  // rest.
+  const auto same_key_version = [](const Item& x, const Item& y) {
+    return Layout::KeyEq(x.key, y.key) && x.version == y.version;
+  };
+  bool back_from_ppa = false;
+  const auto emit = [&](const Item& item, bool from_ppa) {
+    if ((from_ppa || back_from_ppa) && out.size() > base &&
+        same_key_version(out.back(), item)) {
+      return;
+    }
+    out.push_back(item);
+    back_from_ppa = from_ppa;
+  };
+  std::size_t next_pending = 0;
+  [[maybe_unused]] Item prev{};
   std::int32_t curr = k[0].next.load(std::memory_order_acquire);
   std::uint32_t steps = 0;
   while (curr != kNullIdx) {
@@ -682,18 +726,19 @@ void ChunkT<Layout>::CollectItems(std::vector<Item>& out) const {
     KIWI_ASSERT(++steps <= capacity, "cell list cycle");
     const Cell& cell = k[curr];
     const std::int32_t val_ptr = cell.val_ptr.load(std::memory_order_acquire);
-    out.push_back(Item{Layout::CellKeyView(a, cell.key), cell.version,
-                       val_ptr, LoadValue(val_ptr)});
+    const Item item{Layout::CellKeyView(a, cell.key), cell.version, val_ptr,
+                    LoadValue(val_ptr)};
+    KIWI_DASSERT(steps == 1 || ItemBefore(prev, item),
+                 "cell list out of ItemBefore order");
+    while (next_pending < num_pending &&
+           ItemBefore(pending[next_pending], item)) {
+      emit(pending[next_pending++], true);
+    }
+    emit(item, false);
+    prev = item;
     curr = cell.next.load(std::memory_order_acquire);
   }
-  std::sort(out.begin() + base, out.end(), ItemBefore);
-  // Drop exact duplicates (a completed put appears in both the list and a
-  // not-yet-cleared PPA slot) and {key, version} duplicates (the smaller
-  // valPtr lost the overwrite race).
-  const auto duplicate = [](const Item& a, const Item& b) {
-    return Layout::KeyEq(a.key, b.key) && a.version == b.version;
-  };
-  out.erase(std::unique(out.begin() + base, out.end(), duplicate), out.end());
+  while (next_pending < num_pending) emit(pending[next_pending++], true);
 }
 
 extern template class ChunkT<Int64Layout>;

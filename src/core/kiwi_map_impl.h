@@ -376,33 +376,39 @@ void KiWiMapT<Layout>::PutBatch(std::span<const Entry> entries) {
 
   // Normalize the batch: sort by key (stable, so equal keys keep their
   // submission order), then keep only the last occurrence of each key —
-  // the state the equivalent sequence of Puts would leave behind.  The
-  // surviving entries are carried as {key, value} view Items so the run
-  // paths below never copy the owned strings of a byte batch.
-  std::vector<Entry> sorted(entries.begin(), entries.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return Layout::KeyLess(Layout::ViewKey(a.first),
-                                            Layout::ViewKey(b.first));
-                   });
+  // the state the equivalent sequence of Puts would leave behind.  Items
+  // are {key, value} views into the caller's entries, which outlive this
+  // call, so nothing is copied until the run paths write the chunk arenas.
+  // Presorted bursts (the common ingest shape) skip the sort.
   std::vector<Item> batch;
-  batch.reserve(sorted.size());
-  for (std::size_t r = 0; r < sorted.size(); ++r) {
-    if (r + 1 < sorted.size() &&
-        Layout::KeyEq(Layout::ViewKey(sorted[r + 1].first),
-                      Layout::ViewKey(sorted[r].first))) {
+  batch.reserve(entries.size());
+  for (const Entry& entry : entries) {
+    batch.push_back(Item{Layout::ViewKey(entry.first), kNoVersion, 0,
+                         Layout::ViewValue(entry.second)});
+  }
+  const auto key_less = [](const Item& a, const Item& b) {
+    return Layout::KeyLess(a.key, b.key);
+  };
+  if (!std::is_sorted(batch.begin(), batch.end(), key_less)) {
+    std::stable_sort(batch.begin(), batch.end(), key_less);
+  }
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    if (r + 1 < batch.size() && Layout::KeyEq(batch[r + 1].key, batch[r].key)) {
       continue;  // superseded by a later write to the same key
     }
-    const KeyView key = Layout::ViewKey(sorted[r].first);
-    const ValueView value = Layout::ViewValue(sorted[r].second);
-    KIWI_ASSERT(Layout::IsUserKey(key), "key below the user key domain");
-    KIWI_ASSERT(!Layout::IsTombstone(value), "value reserved for tombstones");
+    const Item& item = batch[r];
+    KIWI_ASSERT(Layout::IsUserKey(item.key), "key below the user key domain");
+    KIWI_ASSERT(!Layout::IsTombstone(item.value),
+                "value reserved for tombstones");
     if constexpr (Layout::kHasArena) {
-      KIWI_ASSERT(Layout::EntryArenaBytes(key, value) <= max_entry_bytes_,
+      KIWI_ASSERT(Layout::EntryArenaBytes(item.key, item.value) <=
+                      max_entry_bytes_,
                   "entry exceeds max_entry_bytes");
     }
-    batch.push_back(Item{key, kNoVersion, 0, value});
+    batch[kept++] = item;
   }
+  batch.resize(kept);
   KIWI_TRACE(kBatchStart, entries.size(), batch.size());
 
   const std::size_t slot = ThreadRegistry::CurrentSlot();
@@ -632,7 +638,17 @@ std::size_t KiWiMapT<Layout>::PutRunPerOp(Chunk* chunk,
           expected_ptr, static_cast<std::int32_t>(j),
           std::memory_order_seq_cst);
     }
+    TestHooks::Run(TestHooks::put_run_after_link);
     chunk->ppa[slot].store(Chunk::kPpaIdle, std::memory_order_seq_cst);
+    // FreezePpa skips a slot that already holds a version, so a freeze that
+    // landed while this entry was linking left the slot unfrozen once
+    // cleared: publishing the next entry through it would link into a chunk
+    // whose items the rebalance may already have harvested (a lost write).
+    // PutImpl re-reads the status per put; a run must re-read it per entry.
+    if (chunk->status.load(std::memory_order_seq_cst) ==
+        Chunk::Status::kFrozen) {
+      return t + 1;
+    }
   }
   return n;
 }

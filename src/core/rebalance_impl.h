@@ -430,7 +430,8 @@ auto KiWiMapT<Layout>::BuildSection(RebalanceObject* ro, Chunk* last,
                                     std::span<const Item> puts)
     -> BuiltSection {
   // Harvest the engaged sector.  Chunks hold ascending disjoint ranges and
-  // CollectItems sorts within a chunk, so concatenation is globally sorted.
+  // CollectItems appends each chunk's items in ItemBefore order, so the
+  // concatenation is globally sorted.
   std::vector<Item> items;
   for (Chunk* c = ro->first;; c = c->Next()) {
     c->CollectItems(items);

@@ -323,25 +323,9 @@ MinimizeResult Minimize(const RoundParams& failing, std::uint32_t retries,
   return out;
 }
 
-std::optional<std::string> DumpFailureArtifacts(const RoundParams& params,
-                                                const RoundResult& result,
-                                                std::string dir) {
-  if (dir.empty()) {
-    if (const char* env = std::getenv("KIWI_FUZZ_ARTIFACT_DIR")) dir = env;
-  }
-  if (dir.empty()) dir = "/tmp/kiwi_fuzz_artifacts";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return std::nullopt;
-
-  std::ostringstream name;
-  name << "kiwi_fuzz_seed_0x" << std::hex << params.seed;
-  const std::string base = dir + "/" + name.str();
-
-  std::ofstream out(base + ".txt");
-  if (!out) return std::nullopt;
-  out << "# kiwi_fuzz failure artifact\n"
-      << "# repro: KIWI_FUZZ_SEED=" << params.seed << " kiwi_fuzz --seed="
+std::string ReproLine(const RoundParams& params) {
+  std::ostringstream out;
+  out << "KIWI_FUZZ_SEED=" << params.seed << " kiwi_fuzz --seed="
       << params.seed << " --threads=" << params.threads << " --ops="
       << params.ops_per_thread << " --keys=" << params.keys
       << " --chunk-capacity=" << params.chunk_capacity
@@ -363,7 +347,28 @@ std::optional<std::string> DumpFailureArtifacts(const RoundParams& params,
         << ":" << static_cast<unsigned>(f.config.probability_pct) << ":"
         << f.config.intensity;
   }
-  out << "\n\n"
+  return out.str();
+}
+
+std::optional<std::string> DumpFailureArtifacts(const RoundParams& params,
+                                                const RoundResult& result,
+                                                std::string dir) {
+  if (dir.empty()) {
+    if (const char* env = std::getenv("KIWI_FUZZ_ARTIFACT_DIR")) dir = env;
+  }
+  if (dir.empty()) dir = "/tmp/kiwi_fuzz_artifacts";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return std::nullopt;
+
+  std::ostringstream name;
+  name << "kiwi_fuzz_seed_0x" << std::hex << params.seed;
+  const std::string base = dir + "/" + name.str();
+
+  std::ofstream out(base + ".txt");
+  if (!out) return std::nullopt;
+  out << "# kiwi_fuzz failure artifact\n"
+      << "# repro: " << ReproLine(params) << "\n\n"
       << "violation: " << result.message << "\n"
       << "schedule:  " << result.schedule << "\n\n"
       << "== history ==\n"

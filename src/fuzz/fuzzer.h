@@ -111,6 +111,12 @@ struct MinimizeResult {
 MinimizeResult Minimize(const RoundParams& failing, std::uint32_t retries,
                         std::uint32_t max_rounds);
 
+/// The one command line that replays `params` exactly: every RoundParams
+/// field that shapes the round (seed, workload shape, op mix, batch mix,
+/// layout, site mask, mutants, forced sites).  Both the driver's stdout
+/// report and the failure artifact header print this line.
+std::string ReproLine(const RoundParams& params);
+
 /// Write the failure artifacts for a round into `dir` (created if needed):
 /// history dump, map DebugReport text, Perfetto trace (when tracing is
 /// compiled in) and a repro line.  Returns the artifact file path written,

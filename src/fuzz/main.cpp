@@ -306,14 +306,7 @@ int HandleFailure(const Options& opt, RoundParams params,
   } else {
     std::printf("artifact dump failed (check --artifact-dir)\n");
   }
-  std::printf("repro: KIWI_FUZZ_SEED=%llu kiwi_fuzz --threads=%u --ops=%u "
-              "--keys=%u --chunk-capacity=%u --site-mask=0x%llx%s%s%s\n",
-              static_cast<unsigned long long>(params.seed), params.threads,
-              params.ops_per_thread, params.keys, params.chunk_capacity,
-              static_cast<unsigned long long>(params.site_mask),
-              params.byte_keys ? " --bytes" : "",
-              params.mutants ? " --mutant-mask=" : "",
-              params.mutants ? std::to_string(params.mutants).c_str() : "");
+  std::printf("repro: %s\n", kiwi::fuzz::ReproLine(params).c_str());
   return 1;
 }
 

@@ -3,7 +3,12 @@
 // helping, and harvest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_registry.h"
@@ -374,6 +379,193 @@ TEST(ByteChunkArena, TombstonesCarryNoArenaBytes) {
   const auto latest = chunk.FindLatest("gone", kMaxReadVersion);
   ASSERT_TRUE(latest.found);
   EXPECT_TRUE(latest.is_tombstone);
+}
+
+// ---- merge-based harvest, both layouts ------------------------------------
+
+// Hand-builds a chunk whose versioned PPA entries interleave with its list
+// cells.  Reference() harvests the raw items the plain way — walk the list,
+// scan every PPA slot, sort everything, drop {key, version} duplicates — so
+// CollectItems' merge is checked against an independent implementation.
+template <typename Layout>
+class HarvestBuilder {
+ public:
+  using C = ChunkT<Layout>;
+  using I = typename C::Item;
+
+  HarvestBuilder() {
+    // Materialized up front so every view stays valid.
+    for (int i = 0; i < 64; ++i) {
+      if constexpr (Layout::kHasArena) {
+        // One shared 8-byte prefix: every compare falls through to memcmp.
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "harvest:%04d", i);
+        keys_.push_back(buf);
+        values_.push_back("value-" + std::to_string(i));
+      } else {
+        keys_.push_back(i);
+        values_.push_back(1000 + i);
+      }
+    }
+  }
+
+  typename Layout::KeyView Key(int i) const { return keys_[i]; }
+  typename Layout::ValueView Val(int i) const { return values_[i]; }
+
+  /// The batched prefix: cell i + 1 holds batched[i] with val_ptr i.
+  void Create(const std::vector<I>& batched) {
+    chunk_.reset(C::Create(TestPool(), Layout::MinUserKey(), 32, nullptr,
+                           C::Status::kNormal, batched,
+                           Layout::kHasArena ? 4096 : 0));
+    next_cell_ = static_cast<std::uint32_t>(batched.size()) + 1;
+    next_value_ = static_cast<std::uint32_t>(batched.size());
+  }
+
+  /// Writes a fresh unlinked cell {key, version} -> value; returns its index.
+  std::int32_t NewCell(int key, Version version, int value) {
+    const std::int32_t idx = static_cast<std::int32_t>(next_cell_++);
+    C& c = *chunk_;
+    c.k[idx].key = StoreKey(Key(key));
+    c.k[idx].version = version;
+    SetValue(idx, next_value_++, value);
+    c.k_counter.store(next_cell_);
+    c.v_counter.store(next_value_);
+    return idx;
+  }
+
+  /// Points cell `idx` at value slot `j`, which now holds `value`.
+  void SetValue(std::int32_t idx, std::uint32_t j, int value) {
+    C& c = *chunk_;
+    if constexpr (Layout::kHasArena) {
+      const std::string_view v = Val(value);
+      std::uint32_t off = 0;
+      ASSERT_TRUE(c.ClaimArena(static_cast<std::uint32_t>(v.size()), &off));
+      std::memcpy(c.a + off, v.data(), v.size());
+      c.v[j] = typename Layout::StoredValue{
+          off, static_cast<std::uint32_t>(v.size())};
+    } else {
+      c.v[j] = Val(value);
+    }
+    c.k[idx].val_ptr.store(static_cast<std::int32_t>(j));
+  }
+
+  void Link(std::int32_t idx, std::int32_t pred) {
+    chunk_->k[idx].next.store(chunk_->k[pred].next.load());
+    chunk_->k[pred].next.store(idx);
+  }
+
+  void Publish(std::size_t slot, std::int32_t idx, Version version) {
+    chunk_->ppa[slot].store(
+        C::PackPpa(version, static_cast<std::uint32_t>(idx)));
+  }
+
+  std::vector<I> Reference() const {
+    const C& c = *chunk_;
+    std::vector<I> ref;
+    for (std::int32_t i = c.k[0].next.load(); i != C::kNullIdx;
+         i = c.k[i].next.load()) {
+      ref.push_back(ItemOf(i, c.k[i].version));
+    }
+    for (const auto& slot : c.ppa) {
+      const std::uint64_t word = slot.load();
+      const Version ver = C::PpaVer(word);
+      if (ver == C::kPpaVerBottom || ver == C::kPpaVerFrozen) continue;
+      ref.push_back(ItemOf(static_cast<std::int32_t>(C::PpaIdx(word)), ver));
+    }
+    std::sort(ref.begin(), ref.end(), C::ItemBefore);
+    ref.erase(std::unique(ref.begin(), ref.end(),
+                          [](const I& x, const I& y) {
+                            return Layout::KeyEq(x.key, y.key) &&
+                                   x.version == y.version;
+                          }),
+              ref.end());
+    return ref;
+  }
+
+  C& chunk() { return *chunk_; }
+
+ private:
+  using Stored =
+      std::conditional_t<Layout::kHasArena, std::string, std::int64_t>;
+
+  typename Layout::CellKey StoreKey(typename Layout::KeyView key) {
+    if constexpr (Layout::kHasArena) {
+      std::uint32_t off = 0;
+      EXPECT_TRUE(
+          chunk_->ClaimArena(static_cast<std::uint32_t>(key.size()), &off));
+      std::memcpy(chunk_->a + off, key.data(), key.size());
+      return {Layout::MakePrefix(key), off,
+              static_cast<std::uint32_t>(key.size())};
+    } else {
+      return key;
+    }
+  }
+
+  I ItemOf(std::int32_t idx, Version version) const {
+    const C& c = *chunk_;
+    const std::int32_t val_ptr = c.k[idx].val_ptr.load();
+    return I{Layout::CellKeyView(c.a, c.k[idx].key), version, val_ptr,
+             Layout::LoadValue(c.a, c.v[val_ptr])};
+  }
+
+  std::vector<Stored> keys_;
+  std::vector<Stored> values_;
+  std::unique_ptr<C, decltype(&C::Destroy)> chunk_{nullptr, &C::Destroy};
+  std::uint32_t next_cell_ = 1;
+  std::uint32_t next_value_ = 0;
+};
+
+template <typename Layout>
+class ChunkMergeHarvest : public ::testing::Test {};
+using HarvestLayouts = ::testing::Types<Int64Layout, ByteLayout>;
+TYPED_TEST_SUITE(ChunkMergeHarvest, HarvestLayouts);
+
+TYPED_TEST(ChunkMergeHarvest, MatchesReferenceSortAndDedup) {
+  using Layout = TypeParam;
+  using C = ChunkT<Layout>;
+  using I = typename C::Item;
+  HarvestBuilder<Layout> b;
+  // List: 10@3, 20@4, 20@2, 30@6, 40@5 as the batched prefix (cells 1-5),
+  // plus 25@1 linked behind the prefix (after 20@2, cell 3).
+  b.Create({I{b.Key(10), 3, 0, b.Val(1)}, I{b.Key(20), 4, 0, b.Val(2)},
+            I{b.Key(20), 2, 0, b.Val(3)}, I{b.Key(30), 6, 0, b.Val(4)},
+            I{b.Key(40), 5, 0, b.Val(5)}});
+  b.Link(b.NewCell(25, 1, 6), 3);
+  // Versioned PPA entries interleaving with the list.
+  b.Publish(0, b.NewCell(5, 9, 7), 9);    // before the head
+  b.Publish(1, b.NewCell(15, 7, 8), 7);   // between list cells
+  b.Publish(2, b.NewCell(15, 8, 9), 8);   // same key, newer version
+  b.Publish(3, 2, 4);                     // exact duplicate of linked 20@4
+  b.Publish(4, b.NewCell(30, 6, 10), 6);  // {key, version} tie: PPA wins
+  // {key, version} tie the list wins: 40@5 moves to a larger value slot
+  // than the PPA cell's.
+  b.Publish(5, b.NewCell(40, 5, 11), 5);
+  b.SetValue(5, 20, 12);
+  b.Publish(6, b.NewCell(50, 1, 13), 1);  // after the tail
+  // Pending (unversioned) and frozen entries are not harvested.
+  b.Publish(7, b.NewCell(35, 0, 14), C::kPpaVerBottom);
+  b.Publish(8, b.NewCell(45, 0, 15), C::kPpaVerFrozen);
+
+  const std::vector<I> reference = b.Reference();
+  // 10 distinct {key, version} pairs; PPA wins 30@6, the list wins 40@5.
+  ASSERT_EQ(reference.size(), 10u);
+  EXPECT_TRUE(reference[7].value == b.Val(10));
+  EXPECT_TRUE(reference[8].value == b.Val(12));
+  // CollectItems appends: a pre-existing entry must stay untouched.
+  std::vector<I> harvested{I{b.Key(1), 1, 0, b.Val(0)}};
+  b.chunk().CollectItems(harvested);
+  ASSERT_EQ(harvested.size(), reference.size() + 1);
+  EXPECT_TRUE(Layout::KeyEq(harvested[0].key, b.Key(1)));
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const I& got = harvested[i + 1];
+    EXPECT_TRUE(Layout::KeyEq(got.key, reference[i].key)) << "item " << i;
+    EXPECT_EQ(got.version, reference[i].version) << "item " << i;
+    EXPECT_EQ(got.val_ptr, reference[i].val_ptr) << "item " << i;
+    EXPECT_TRUE(got.value == reference[i].value) << "item " << i;
+  }
+  for (std::size_t slot = 0; slot < 9; ++slot) {
+    b.chunk().ppa[slot].store(C::kPpaIdle);
+  }
 }
 
 }  // namespace

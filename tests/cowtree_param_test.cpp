@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <tuple>
 
 #include "baselines/snaptree/cow_tree.h"
@@ -19,6 +20,10 @@ struct Mix {
   double remove;
   double scan;
 };
+
+// Without this, GetParam() prints Mix's raw bytes, name pointer included:
+// the discovered ctest names would then change with every build and run.
+void PrintTo(const Mix& mix, std::ostream* os) { *os << mix.name; }
 
 class CowTreeMix : public ::testing::TestWithParam<std::tuple<Mix, int>> {};
 

@@ -228,6 +228,37 @@ TEST(FuzzHarness, SkipGetHelpMutantObservableViaHelpingStats) {
 }
 #endif
 
+TEST(FuzzHarness, ReproLineCarriesEveryRoundShapingFlag) {
+  // The printed repro must replay the same round: a batch failure replayed
+  // without its batch flags runs a different op stream.
+  RoundParams params;
+  params.seed = 2061;
+  params.put_pct = 30;
+  params.remove_pct = 40;
+  params.get_pct = 20;
+  params.max_engaged_chunks = 2;
+  params.batch_pct = 15;
+  params.max_batch = 3;
+  params.byte_keys = true;
+  params.site_mask = 0x101;
+  params.mutants = TestHooks::kSkipScanPublish;
+  RoundParams::SiteOverride forced;
+  forced.site = 8;
+  forced.config = SiteConfig{SiteAction::kSleep, 50, 100};
+  params.forced_sites.push_back(forced);
+  const std::string line = ReproLine(params);
+  for (const char* flag :
+       {"KIWI_FUZZ_SEED=2061 ", "--seed=2061", "--mix=30:40:20",
+        "--max-engaged=2", "--batch-pct=15", "--batch-max=3", "--bytes",
+        "--site-mask=0x101", "--mutant-mask=0x2",
+        "--force-site=8:sleep:50:100"}) {
+    EXPECT_NE(line.find(flag), std::string::npos)
+        << "missing " << flag << " in: " << line;
+  }
+  // Defaults that need no flag stay off the line.
+  EXPECT_EQ(ReproLine(RoundParams{}).find("--batch-"), std::string::npos);
+}
+
 TEST(FuzzHarness, FailureArtifactsAreWritten) {
   RoundParams failing;
   failing.mutants = TestHooks::kSkipScanPublish;
@@ -250,7 +281,8 @@ TEST(FuzzHarness, FailureArtifactsAreWritten) {
   ASSERT_TRUE(in.good());
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
-  EXPECT_NE(contents.find("KIWI_FUZZ_SEED="), std::string::npos);
+  EXPECT_NE(contents.find("# repro: " + ReproLine(failing)),
+            std::string::npos);
   EXPECT_NE(contents.find("== history =="), std::string::npos);
   EXPECT_NE(contents.find("== debug report =="), std::string::npos);
 }

@@ -1,21 +1,29 @@
 // Tests for PutBatch: run splitting, the bulk-build path, duplicate
-// semantics, and batches racing rebalances (docs/INGEST.md).
+// semantics, input lifetime, and batches racing rebalances
+// (docs/INGEST.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/byte_map.h"
 #include "api/map_interface.h"
 #include "common/random.h"
+#include "common/test_hooks.h"
 #include "core/kiwi_map.h"
 
 namespace kiwi::core {
 namespace {
 
 using Entry = KiWiMap::Entry;
+using api::ByteMapMinKey;
+using api::KiWiByteMap;
 
 std::vector<Entry> MakeAscending(Key first, std::size_t count,
                                  Key stride = 1) {
@@ -138,6 +146,121 @@ TEST(KiWiBatch, SmallRunsUsePerOpPath) {
   for (Key k = 1; k <= 500; ++k) {
     ASSERT_EQ(map.Get(k).value_or(-1), static_cast<Value>(k) * 7);
   }
+  map.CheckInvariants();
+}
+
+TEST(KiWiBatch, PresortedBatchWithDuplicatesKeepsLastValue) {
+  // Presorted input skips the sort, so the dedup pass alone must apply the
+  // keep-last rule — on the per-op path (short runs) and the bulk path.
+  KiWiMap map;
+  const std::vector<Entry> small{{1, 10}, {2, 20}, {2, 21},
+                                 {3, 30}, {3, 31}, {3, 32}};
+  map.PutBatch(small);
+  EXPECT_EQ(map.Get(1).value_or(-1), 10);
+  EXPECT_EQ(map.Get(2).value_or(-1), 21);
+  EXPECT_EQ(map.Get(3).value_or(-1), 32);
+  std::vector<Entry> big;
+  for (Key k = 100; k < 2100; ++k) {
+    big.emplace_back(k, static_cast<Value>(k));
+    big.emplace_back(k, static_cast<Value>(k) * 7);
+  }
+  map.PutBatch(big);
+  for (Key k = 100; k < 2100; ++k) {
+    ASSERT_EQ(map.Get(k).value_or(-1), static_cast<Value>(k) * 7) << k;
+  }
+  EXPECT_EQ(map.Size(), 2003u);
+  map.CheckInvariants();
+}
+
+// Regression: a per-op run reused its PPA slot without re-reading the chunk
+// status.  FreezePpa skips a slot that already holds a version, so a
+// rebalance that froze the chunk while entry t was linking left the slot
+// open once cleared, and entry t+1 linked into the frozen chunk after the
+// rebalance had harvested it: a completed write was lost.  The hook
+// rebalances every chunk exactly at that point, once.
+KiWiMap* g_compact_once = nullptr;
+
+void CompactOnce() {
+  if (KiWiMap* map = std::exchange(g_compact_once, nullptr)) {
+    map->CompactAll();
+  }
+}
+
+TEST(KiWiBatch, FreezeBetweenRunEntriesLosesNoWrite) {
+  KiWiMap map;
+  const std::vector<Entry> batch = MakeAscending(1, 4);  // one short run
+  g_compact_once = &map;
+  {
+    TestHooks::Scoped hook(TestHooks::put_run_after_link, &CompactOnce);
+    map.PutBatch(batch);
+  }
+  ASSERT_EQ(g_compact_once, nullptr) << "the hook never fired";
+  for (const Entry& entry : batch) {
+    EXPECT_EQ(map.Get(entry.first).value_or(-1), entry.second)
+        << "key " << entry.first << " lost";
+  }
+  EXPECT_EQ(map.Size(), batch.size());
+  const auto report = map.DebugReport();
+  if (report.stats_enabled) {
+    EXPECT_EQ(report.counters.batch_bulk_entries, 0u) << "not the per-op path";
+  }
+  map.CheckInvariants();
+}
+
+TEST(KiWiByteBatch, InputMayBeOverwrittenAndFreedAfterReturn) {
+  // Normalization sorts views into the caller's entries.  Every byte must
+  // reach a chunk arena before PutBatch returns: the caller then scribbles
+  // over its strings and frees them (heap-allocated, so a retained view
+  // would be a use-after-free under ASAN, or a wrong value without it).
+  KiWiByteMap map;
+  std::map<std::string, std::string> oracle;
+  const auto key_of = [](std::uint64_t series, std::uint64_t ts) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "tenant:0001/sensor:%05llu/ts:%010llu",
+                  static_cast<unsigned long long>(series),
+                  static_cast<unsigned long long>(ts));
+    return std::string(buf);
+  };
+  const auto ingest = [&](std::vector<KiWiByteMap::Entry> batch) {
+    map.PutBatch(batch);
+    for (const auto& [k, v] : batch) oracle[k] = v;
+    for (auto& [k, v] : batch) {
+      std::fill(k.begin(), k.end(), 'X');
+      std::fill(v.begin(), v.end(), 'Y');
+    }
+    batch.clear();
+    batch.shrink_to_fit();
+  };
+  // Presorted bursts (bulk path), then scattered bursts with duplicates
+  // (sort + per-op runs across the chunks the first bursts built).
+  for (std::uint64_t series = 0; series < 4; ++series) {
+    std::vector<KiWiByteMap::Entry> burst;
+    for (std::uint64_t ts = 0; ts < 1000; ++ts) {
+      burst.emplace_back(key_of(series, ts),
+                         "reading " + std::to_string(series * ts) +
+                             std::string(24, 'r'));
+    }
+    ingest(std::move(burst));
+  }
+  Xoshiro256 rng(5);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<KiWiByteMap::Entry> burst;
+    for (int i = 0; i < 100; ++i) {
+      burst.emplace_back(key_of(rng.NextBounded(5), rng.NextBounded(1200)),
+                         "late " + std::to_string(round) + ":" +
+                             std::to_string(i) + std::string(20, 'l'));
+    }
+    ingest(std::move(burst));
+  }
+  std::vector<KiWiByteMap::Entry> out;
+  map.ScanFrom(ByteMapMinKey(), [&out](std::string_view k, std::string_view v) {
+    out.emplace_back(std::string(k), std::string(v));
+  });
+  ASSERT_EQ(out.size(), oracle.size());
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), oracle.begin(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first && a.second == b.second;
+                         }));
   map.CheckInvariants();
 }
 
