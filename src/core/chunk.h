@@ -229,16 +229,25 @@ class alignas(kCacheLineSize) ChunkT {
   /// Returns kNullIdx on miss, the cell index on hit.
   std::int32_t FindCell(KeyView key, Version version, std::int32_t* pred,
                         std::int32_t* succ) const {
-    return FindCellFrom(kNullIdx, key, version, pred, succ);
+    const Probe probe = Layout::MakeProbe(key);
+    return WalkFrom(BatchedPredecessorProbe(probe), probe, version, pred,
+                    succ);
   }
 
-  /// FindCell starting the walk at cell `start` instead of the batched
-  /// prefix.  `start` must be a linked cell with key strictly below `key`
-  /// (or kNullIdx to fall back to BatchedPredecessor).  PutBatch threads
-  /// the previous insertion's predecessor through here: batch keys ascend,
-  /// so the insertion point only ever moves forward along the list.
-  std::int32_t FindCellFrom(std::int32_t start, KeyView key, Version version,
-                            std::int32_t* pred, std::int32_t* succ) const;
+  /// FindCell for one entry of an ascending run (PutBatch's per-op path),
+  /// in O(log gap) rather than O(gap) list steps.  `start` is a linked cell
+  /// that precedes {key, version} in list order (the previous entry's cell,
+  /// or this entry's last `pred` on a retry), or kNullIdx for the run's
+  /// first search.  `*cursor` is the last batched cell with key below the
+  /// previous search's key (0, the sentinel, before the run); run keys
+  /// ascend, so it only moves forward.  If the batched cell after the
+  /// cursor is not below `key`, the walk starts at `start` after that one
+  /// compare (a dense run stays on its hint).  Otherwise the cursor gallops
+  /// to `key`'s batched predecessor and the walk starts at whichever of it
+  /// and `start` is later in the list.
+  std::int32_t FindCellFrom(std::int32_t start, std::uint32_t* cursor,
+                            KeyView key, Version version, std::int32_t* pred,
+                            std::int32_t* succ) const;
 
   /// Latest visible version of `key` with version <= `max_version`,
   /// considering both the linked list and versioned PPA entries
@@ -324,6 +333,10 @@ class alignas(kCacheLineSize) ChunkT {
   /// max_version, in slot order.
   template <typename Fn>
   void ForEachPpaItem(Version max_version, Fn&& fn) const;
+
+  /// The list walk behind FindCell/FindCellFrom, from cell `prev`.
+  std::int32_t WalkFrom(std::int32_t prev, const Probe& probe, Version version,
+                        std::int32_t* pred, std::int32_t* succ) const;
 
   /// CollectPpaItems without a key filter (byte keys have no finite
   /// maximum; full-map scans use this).
@@ -496,14 +509,63 @@ std::int32_t ChunkT<Layout>::BatchedPredecessorProbe(const Probe& probe) const {
 }
 
 template <typename Layout>
-std::int32_t ChunkT<Layout>::FindCellFrom(std::int32_t start, KeyView key,
+std::int32_t ChunkT<Layout>::FindCellFrom(std::int32_t start,
+                                          std::uint32_t* cursor, KeyView key,
                                           Version version, std::int32_t* pred,
                                           std::int32_t* succ) const {
   const Probe probe = Layout::MakeProbe(key);
   KIWI_DASSERT(start == kNullIdx || start == 0 ||
-                   Layout::CompareCell(a, k[start].key, probe) < 0,
-               "FindCellFrom hint must precede the target key");
-  std::int32_t prev = start == kNullIdx ? BatchedPredecessorProbe(probe) : start;
+                   Layout::CompareCell(a, k[start].key, probe) < 0 ||
+                   (Layout::CompareCell(a, k[start].key, probe) == 0 &&
+                    k[start].version > version),
+               "FindCellFrom start must precede {key, version}");
+  std::uint32_t lo = *cursor;
+  KIWI_DASSERT(lo <= batched_count &&
+                   (lo == 0 || Layout::CompareCell(a, k[lo].key, probe) < 0),
+               "FindCellFrom cursor must be a batched cell below the key");
+  if (lo < batched_count && Layout::CompareCell(a, k[lo + 1].key, probe) < 0) {
+    // The batched predecessor moved past the cursor: gallop forward from it
+    // (k[lo] below the key, k[hi] not), then bisect (lo, hi).
+    ++lo;
+    std::uint32_t step = 1;
+    std::uint32_t hi = lo + step;
+    while (hi <= batched_count &&
+           Layout::CompareCell(a, k[hi].key, probe) < 0) {
+      lo = hi;
+      step *= 2;
+      hi = lo + step;
+    }
+    hi = std::min(hi, batched_count + 1);
+    while (hi - lo > 1) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (Layout::CompareCell(a, k[mid].key, probe) < 0) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    *cursor = lo;
+    // Start from the later of `start` and the new batched predecessor.
+    // Batched cells (and the sentinel) sit in index order along the list,
+    // and kNullIdx is below every index; a linked `start` (past the prefix)
+    // is ordered against k[lo] by {key asc, version desc}.
+    bool start_earlier = start < static_cast<std::int32_t>(lo);
+    if (start > static_cast<std::int32_t>(batched_count)) {
+      const Probe lo_probe =
+          Layout::MakeProbe(Layout::CellKeyView(a, k[lo].key));
+      const int cmp = Layout::CompareCell(a, k[start].key, lo_probe);
+      start_earlier = cmp < 0 || (cmp == 0 && k[start].version > k[lo].version);
+    }
+    if (start_earlier) start = static_cast<std::int32_t>(lo);
+  }
+  if (start == kNullIdx) start = static_cast<std::int32_t>(*cursor);
+  return WalkFrom(start, probe, version, pred, succ);
+}
+
+template <typename Layout>
+std::int32_t ChunkT<Layout>::WalkFrom(std::int32_t prev, const Probe& probe,
+                                      Version version, std::int32_t* pred,
+                                      std::int32_t* succ) const {
   std::int32_t curr = k[prev].next.load(std::memory_order_acquire);
   std::int32_t hit = kNullIdx;
   while (curr != kNullIdx) {

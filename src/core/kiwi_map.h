@@ -291,7 +291,8 @@ class KiWiMapT {
   /// PutBatch's amortized per-op path: install a sorted run of distinct
   /// keys (all covered by `chunk`) through the normal PPA protocol, but
   /// with the cell/value-slot claims batched into two fetch-adds and the
-  /// intra-chunk insertion point carried forward between keys.  Returns
+  /// list position plus a batched-prefix cursor carried forward between
+  /// keys (Chunk::FindCellFrom, O(log gap) per key).  Returns
   /// how many leading entries were installed; fewer than run.size() means
   /// the chunk filled or froze mid-run and the caller must re-locate.
   /// Items carry {key, value} views only (version/val_ptr ignored).

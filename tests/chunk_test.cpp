@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/thread_registry.h"
@@ -566,6 +567,92 @@ TYPED_TEST(ChunkMergeHarvest, MatchesReferenceSortAndDedup) {
   for (std::size_t slot = 0; slot < 9; ++slot) {
     b.chunk().ppa[slot].store(C::kPpaIdle);
   }
+}
+
+// ---- run search (FindCellFrom), both layouts --------------------------------
+
+template <typename Layout>
+class ChunkFindFrom : public ::testing::Test {};
+TYPED_TEST_SUITE(ChunkFindFrom, HarvestLayouts);
+
+TYPED_TEST(ChunkFindFrom, EveryLegalStartAndCursorMatchesFindCell) {
+  using Layout = TypeParam;
+  using C = ChunkT<Layout>;
+  using I = typename C::Item;
+  HarvestBuilder<Layout> b;
+  // A batched prefix (cells 1-10), including one key with three versions.
+  b.Create({I{b.Key(4), 5, 0, b.Val(0)}, I{b.Key(8), 3, 0, b.Val(1)},
+            I{b.Key(12), 7, 0, b.Val(2)}, I{b.Key(12), 4, 0, b.Val(3)},
+            I{b.Key(12), 2, 0, b.Val(4)}, I{b.Key(20), 1, 0, b.Val(5)},
+            I{b.Key(28), 6, 0, b.Val(6)}, I{b.Key(36), 1, 0, b.Val(7)},
+            I{b.Key(44), 2, 0, b.Val(8)}, I{b.Key(52), 1, 0, b.Val(9)}});
+  C& c = b.chunk();
+  // Cells linked behind the prefix: before its head, inside a batched
+  // key's version run, a dense stretch between two batched cells, a newer
+  // version ahead of a batched one, and past its tail.
+  const std::pair<int, Version> linked[] = {
+      {2, 1},  {10, 9}, {12, 3}, {16, 1}, {17, 1}, {18, 1},
+      {20, 5}, {24, 5}, {40, 1}, {56, 8}, {60, 1}};
+  int value = 10;
+  for (const auto& [key, version] : linked) {
+    std::int32_t pred = C::kNullIdx;
+    ASSERT_EQ(c.FindCell(b.Key(key), version, &pred, nullptr), C::kNullIdx);
+    b.Link(b.NewCell(key, version, value++), pred);
+  }
+  std::vector<std::int32_t> list{0};
+  for (std::int32_t i = c.k[0].next.load(); i != C::kNullIdx;
+       i = c.k[i].next.load()) {
+    list.push_back(i);
+  }
+  ASSERT_EQ(list.size(), 22u);
+
+  std::size_t checked = 0;
+  for (int key = 0; key < 64; ++key) {
+    const auto probe = Layout::MakeProbe(b.Key(key));
+    // Versions 1, 3 and 5 hit existing {key, version} cells (ties) as well
+    // as miss between versions of one key.
+    for (const Version version : {Version{1}, Version{3}, Version{5},
+                                  Version{9}}) {
+      std::int32_t want_pred = -2;
+      std::int32_t want_succ = -2;
+      const std::int32_t want_hit =
+          c.FindCell(b.Key(key), version, &want_pred, &want_succ);
+      // Legal starts: no hint, or any list cell ahead of {key, version}.
+      std::vector<std::int32_t> starts{C::kNullIdx};
+      for (const std::int32_t cell : list) {
+        const int cmp = cell == 0 ? -1 : Layout::CompareCell(c.a, c.k[cell].key,
+                                                             probe);
+        if (cmp < 0 || (cmp == 0 && c.k[cell].version > version)) {
+          starts.push_back(cell);
+        }
+      }
+      for (const std::int32_t start : starts) {
+        // Legal cursors: the sentinel or any batched cell below the key.
+        for (std::uint32_t cursor = 0; cursor <= c.batched_count; ++cursor) {
+          if (cursor != 0 &&
+              Layout::CompareCell(c.a, c.k[cursor].key, probe) >= 0) {
+            break;
+          }
+          std::uint32_t moved = cursor;
+          std::int32_t pred = -2;
+          std::int32_t succ = -2;
+          const std::int32_t hit =
+              c.FindCellFrom(start, &moved, b.Key(key), version, &pred, &succ);
+          ASSERT_EQ(hit, want_hit) << key << "@" << version << " start "
+                                   << start << " cursor " << cursor;
+          ASSERT_EQ(pred, want_pred) << key << "@" << version << " start "
+                                     << start << " cursor " << cursor;
+          ASSERT_EQ(succ, want_succ) << key << "@" << version << " start "
+                                     << start << " cursor " << cursor;
+          ASSERT_EQ(moved, static_cast<std::uint32_t>(c.BatchedPredecessorProbe(
+                               probe)))
+              << "cursor must land on the batched predecessor";
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 5000u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -293,6 +294,74 @@ TEST(KiWiBatch, MatchesPerOpSemanticsOnRandomMix) {
                            return a.first == b.first && a.second == b.second;
                          }));
   map.CheckInvariants();
+}
+
+// Sparse batches over full batched prefixes: one key every ~50 positions
+// spread across several chunks, so each chunk's run (~20 entries) stays far
+// below the bulk threshold (128 at the default capacity) and every entry
+// takes the per-op path, whose insertion search gallops over the batched
+// prefix between consecutive run keys.  Half the keys are new (odd
+// positions between the loaded even ones), half overwrite loaded or
+// earlier-batched keys; without scans the global version stands still, so
+// repeat overwrites also take the {key, version} tie path.
+template <typename Map, typename MakeKey, typename MakeValue>
+void CheckSparseBatchesAgainstOracle(MakeKey make_key, MakeValue make_value) {
+  using MapEntry = typename Map::Entry;
+  constexpr int kPositions = 8000;
+  std::vector<MapEntry> loaded;
+  for (int i = 0; i < kPositions; i += 2) {
+    loaded.emplace_back(make_key(i), make_value(i));
+  }
+  Map map{std::span<const MapEntry>(loaded)};
+  std::map<typename MapEntry::first_type, typename MapEntry::second_type>
+      oracle(loaded.begin(), loaded.end());
+  Xoshiro256 rng(41);
+  // 10 rounds keep each chunk's batched prefix above the policy's 0.625
+  // share of its cells, so no rebalance (and no bulk build) is triggered.
+  for (int round = 1; round <= 10; ++round) {
+    std::vector<MapEntry> batch;
+    for (int i = static_cast<int>(rng.NextBounded(50)); i < kPositions;
+         i += 40 + static_cast<int>(rng.NextBounded(21))) {
+      batch.emplace_back(make_key(i), make_value(round * kPositions + i));
+    }
+    std::reverse(batch.begin(), batch.end());  // PutBatch sorts
+    map.PutBatch(batch);
+    for (const auto& [key, value] : batch) oracle[key] = value;
+  }
+  const auto report = map.DebugReport();
+  if (report.stats_enabled) {
+    EXPECT_EQ(report.counters.put_batches, 10u);
+    EXPECT_EQ(report.counters.batch_bulk_entries, 0u)
+        << "every run must stay on the per-op path";
+  }
+  std::vector<MapEntry> out;
+  map.Scan(make_key(0), make_key(kPositions), out);
+  ASSERT_EQ(out.size(), oracle.size());
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), oracle.begin(),
+                         [](const MapEntry& a, const auto& b) {
+                           return a.first == b.first && a.second == b.second;
+                         }));
+  for (const auto& [key, value] : oracle) {
+    ASSERT_EQ(map.Get(key), value);
+  }
+  map.CheckInvariants();
+}
+
+TEST(KiWiBatch, SparseRunsMatchOracle) {
+  CheckSparseBatchesAgainstOracle<KiWiMap>(
+      [](int i) { return static_cast<Key>(i + 1); },
+      [](int v) { return static_cast<Value>(v) * 3 + 1; });
+}
+
+TEST(KiWiByteBatch, SparseRunsMatchOracle) {
+  // One shared 8-byte prefix: every compare falls through to memcmp.
+  CheckSparseBatchesAgainstOracle<KiWiByteMap>(
+      [](int i) {
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "series:%06d", i);
+        return std::string(buf);
+      },
+      [](int v) { return "value-" + std::to_string(v); });
 }
 
 TEST(KiWiBatch, ConcurrentBatchesOnDisjointRanges) {

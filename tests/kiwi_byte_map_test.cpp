@@ -236,6 +236,28 @@ TEST(KiWiByteMap, PinnedSnapshotRetainsOversizedVersionRun) {
   map.CheckInvariants();
 }
 
+TEST(KiWiByteMap, PinnedSnapshotRetainsVersionRunLongerThanAChunk) {
+  // The cell-count form of the test above: small versions, so the run
+  // outgrows the default 1024-cell capacity long before the arena.  Put
+  // used to spin forever once the run neared a whole chunk; the chunk
+  // holding the run now gets an oversized cell capacity.
+  KiWiByteMap map;
+  for (int k = 0; k < 100; ++k) map.Put("key:" + std::to_string(k), "v0");
+  KiWiByteMap::Snapshot snap(map);
+  constexpr int kVersions = 1100;
+  for (int i = 1; i <= kVersions; ++i) {
+    map.Put("key:50", "v" + std::to_string(i));
+    std::size_t seen = 0;
+    map.Scan("key:50", "key:50",
+             [&seen](std::string_view, std::string_view) { ++seen; });
+    ASSERT_EQ(seen, 1u);
+  }
+  EXPECT_EQ(snap.Get("key:50").value_or(""), "v0");
+  EXPECT_EQ(map.Get("key:50").value_or(""), "v" + std::to_string(kVersions));
+  EXPECT_EQ(map.Size(), 100u);
+  map.CheckInvariants();
+}
+
 TEST(KiWiByteMap, PutBatchMatchesPutSemantics) {
   KiWiByteMap map;
   std::vector<Entry> batch;

@@ -92,6 +92,31 @@ TEST(KiWiSnapshot, PinsVersionsAgainstCompaction) {
   EXPECT_EQ(map.Get(250).value_or(-1), 5);  // live side unaffected
 }
 
+TEST(KiWiSnapshot, PinnedSnapshotRetainsVersionRunLongerThanAChunk) {
+  // Regression: a snapshot pins every later version of one hot key, and a
+  // key's version run is never split across chunks.  Once the run neared
+  // the default 1024-cell capacity, every rebalance rebuilt the same full
+  // chunk and Put spun forever (at small capacities the build aborted on
+  // "one key's version run exceeds a whole chunk").  That chunk now gets an
+  // oversized cell capacity.  The scan after each put advances the global
+  // version, so every put lands at a distinct version.
+  KiWiMap map;
+  for (Key k = 1; k <= 100; ++k) map.Put(k, 0);
+  KiWiMap::Snapshot snapshot(map);
+  constexpr Value kVersions = 1100;
+  std::vector<KiWiMap::Entry> out;
+  for (Value i = 1; i <= kVersions; ++i) {
+    map.Put(50, i);
+    out.clear();
+    map.Scan(50, 50, out);
+    ASSERT_EQ(out.size(), 1u);
+  }
+  EXPECT_EQ(snapshot.Get(50).value_or(-1), 0);
+  EXPECT_EQ(map.Get(50).value_or(-1), kVersions);
+  EXPECT_EQ(map.Size(), 100u);
+  map.CheckInvariants();
+}
+
 TEST(KiWiSnapshot, ReleaseUnpinsCompaction) {
   KiWiMap map(KiWiConfig{.chunk_capacity = 32});
   for (Key k = 0; k < 200; ++k) map.Put(k, 1);
